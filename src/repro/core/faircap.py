@@ -32,6 +32,7 @@ from repro.core.intervention import (
 )
 from repro.mining.apriori import FrequentPattern
 from repro.obs import build_report, telemetry_session
+from repro.parallel.blas import blas_info, single_threaded_blas
 from repro.rules.protected import ProtectedGroup
 from repro.rules.rule import PrescriptionRule
 from repro.rules.ruleset import RuleSet, RulesetEvaluator, RulesetMetrics
@@ -179,9 +180,12 @@ class FairCap:
                 table, directory, config.shard_rows, reuse=reuse
             )
         try:
-            return self._run_pipeline(
-                table, schema, dag, protected, config, executor, cache, timer
-            )
+            # Step 2's BLAS calls are too narrow to gain from BLAS threads,
+            # and thread count changes GEMM bits (see repro.parallel.blas).
+            with single_threaded_blas():
+                return self._run_pipeline(
+                    table, schema, dag, protected, config, executor, cache, timer
+                )
         finally:
             if shard_tmp is not None:
                 shutil.rmtree(shard_tmp, ignore_errors=True)
@@ -256,6 +260,7 @@ class FairCap:
                         "gram_subtraction": config.gram_subtraction,
                         "shared_memory": config.shared_memory,
                         "throughput_mode": config.throughput_mode,
+                        "blas": blas_info(),
                         "timings": timer.as_dict(),
                     },
                 )

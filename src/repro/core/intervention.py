@@ -36,6 +36,7 @@ from repro.mining.apriori import build_items
 from repro.mining.lattice import LatticeNode, LatticeWalk, traverse_lattice
 from repro.mining.patterns import Pattern
 from repro.obs.runtime import current as obs_current
+from repro.parallel.blas import single_threaded_blas
 from repro.rules.rule import PrescriptionRule
 from repro.rules.utility import (
     GroupEvaluationContext,
@@ -414,12 +415,17 @@ def mine_interventions_for_groups(
     are the saved bits, so resume ≡ fresh by construction.
     """
     patterns = list(grouping_patterns)
-    if getattr(config, "checkpoint_dir", None):
-        detailed = _mine_checkpointed(evaluator, patterns, items, config, executor)
-    else:
-        detailed = mine_interventions_detailed(
-            evaluator, patterns, items, config, executor
-        )
+    # FairCap.run already holds this scope; it is repeated here so callers
+    # of Step 2 alone mine with the same BLAS threads (and bits).
+    with single_threaded_blas():
+        if getattr(config, "checkpoint_dir", None):
+            detailed = _mine_checkpointed(
+                evaluator, patterns, items, config, executor
+            )
+        else:
+            detailed = mine_interventions_detailed(
+                evaluator, patterns, items, config, executor
+            )
     rules = [best for best, _ in detailed if best is not None]
     return rules, sum(nodes for _, nodes in detailed)
 

@@ -30,6 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from repro.obs.runtime import current as obs_current
+from repro.parallel.blas import cap_blas_threads
 from repro.parallel.resilience import RetryPolicy, install_plan
 from repro.utils.errors import ConfigError
 
@@ -43,6 +44,9 @@ def _worker_init(
     build_state: Callable[[Any], Any], payload: Any, fault_plan: Any = None
 ) -> None:
     global _WORKER_STATE
+    # One BLAS thread per worker: the pool is the parallelism, and 2
+    # workers x 2 BLAS threads on 2 CPUs only oversubscribe.
+    cap_blas_threads()
     install_plan(fault_plan)
     _WORKER_STATE = build_state(payload)
 
