@@ -1,29 +1,17 @@
-"""Engine comparison for Step-2 mining: scalar vs PR-3/PR-5 vs frontier.
+"""Engine comparison for Step-2 mining: scalar vs ``pr3`` vs frontier.
 
 Runs FairCap's Step 2 (treatment mining) on the German Table-4 configuration
-at increasing row counts through four engines:
+at increasing row counts through three engines:
 
 - ``scalar``  — per-candidate OLS (``batch_estimation=False``), the
   differential reference;
 - ``pr3``     — the PR-3 batched FWL engine (``batch_estimation=True`` with
   ``bitset_masks=False, frontier_batching=False``);
-- ``pr5``     — the PR-5 frontier engine: bitset masks + frontier batching
-  without this PR's Gram subtraction / shared-memory pools
-  (``gram_subtraction=False, shared_memory=False``);
-- ``frontier``— the current default: PR-5 plus donor Gram subtraction for
-  protected/non-protected sub-populations.
+- ``frontier``— the current default: bitset masks + frontier batching.
 
 Every batched run is differentially checked against its scalar twin — same
 lattice, same candidate rules (rtol 1e-9 on utilities), same selected
 ruleset — a speedup only counts if the answer is unchanged.
-
-A separate *throughput probe* times ``throughput_mode=True`` against the
-PR-3 engine on a tiny 2-context oracle world — the regime where the
-per-context frontier units historically sat at ~0.9-1x of PR-3.  Throughput
-mode merges GEMMs across contexts and skips digests/result caching, trading
-serial ≡ process bit-identity for speed, so the probe carries no equality
-check: its correctness gate is the scenario oracle
-(``tests/scenarios/test_throughput.py``).
 
 The out-of-core data layer is probed twice.  A *shard-overhead probe*
 (every invocation) mines the 4k-row German workload in RAM and through a
@@ -133,21 +121,13 @@ SCALE_SIZES = (30_000, 100_000, 1_000_000)
 SCALE_SHARD_ROWS = 4_096
 SCALE_CHILD = BENCH_DIR / "scale_child.py"
 
-ENGINES = ("scalar", "pr3", "pr5", "frontier")
-
-#: The tiny-world throughput probe: a 2-context linear world where the
-#: per-context frontier has no cross-context BLAS win to collect; merged
-#: rounds must at least break even against the PR-3 engine.
-THROUGHPUT_WORLD = "linear-g2-d1-gap-lo"
-THROUGHPUT_ROWS = 2_000
-TARGET_THROUGHPUT_VS_PR3 = 1.0
+ENGINES = ("scalar", "pr3", "frontier")
 
 
 def _engine_configs(config):
     return {
         "scalar": replace(config, batch_estimation=False),
         "pr3": replace(config, bitset_masks=False, frontier_batching=False),
-        "pr5": replace(config, gram_subtraction=False, shared_memory=False),
         "frontier": config,
     }
 
@@ -233,16 +213,14 @@ def _measure_size(settings, dataset: str, variant: str, reps: int):
     timed = _time_step2(_engine_configs(config), bundle, reps)
     scalar_seconds, scalar_result = timed["scalar"]
     problems: list[str] = []
-    for name in ("pr3", "pr5", "frontier"):
+    for name in ("pr3", "frontier"):
         problems.extend(_check_identical(scalar_result, timed[name][1], name))
     pr3_seconds = timed["pr3"][0]
-    pr5_seconds = timed["pr5"][0]
     frontier_seconds, frontier_result = timed["frontier"]
     row = {
         "rows": bundle.table.n_rows,
         "scalar_seconds": round(scalar_seconds, 4),
         "pr3_seconds": round(pr3_seconds, 4),
-        "pr5_seconds": round(pr5_seconds, 4),
         "frontier_seconds": round(frontier_seconds, 4),
         "speedup_vs_scalar": round(scalar_seconds / frontier_seconds, 2)
         if frontier_seconds > 0
@@ -250,63 +228,10 @@ def _measure_size(settings, dataset: str, variant: str, reps: int):
         "speedup_vs_pr3": round(pr3_seconds / frontier_seconds, 2)
         if frontier_seconds > 0
         else float("inf"),
-        "speedup_vs_pr5": round(pr5_seconds / frontier_seconds, 2)
-        if frontier_seconds > 0
-        else float("inf"),
         "nodes_evaluated": frontier_result.nodes_evaluated,
         "identical": not problems,
     }
     return row, problems
-
-
-def _measure_throughput_probe(reps: int) -> dict:
-    """Tiny-world throughput-mode point: merged rounds vs the PR-3 engine.
-
-    Interleaved alternation with the minimum across reps, like
-    :func:`_time_step2`.  No differential check — throughput mode is
-    certified by the scenario oracle, not bit-identity — so the row only
-    records wall-clock, the context count, and whether the break-even
-    target held.
-    """
-    from repro.scenarios import ScenarioWorld, oracle_grid
-    from repro.scenarios.oracle import oracle_config, run_world
-
-    spec = {s.name: s for s in oracle_grid()}[THROUGHPUT_WORLD]
-    world = ScenarioWorld(spec)
-    bundle = world.bundle(THROUGHPUT_ROWS)
-    configs = {
-        "pr3": oracle_config(
-            world, bitset_masks=False, frontier_batching=False
-        ),
-        "throughput": oracle_config(world, throughput_mode=True),
-    }
-    result = run_world(world, bundle)  # warm shared memos
-    times: dict[str, list[float]] = {name: [] for name in configs}
-    reps = max(reps, 5)  # millisecond-scale runs: min over a few reps
-    names = list(configs)
-    for rep in range(reps):
-        order = names[rep % len(names):] + names[: rep % len(names)]
-        for name in order:
-            run = run_world(world, bundle, configs[name])
-            times[name].append(run.timings["treatment_mining"])
-    pr3_seconds = min(times["pr3"])
-    throughput_seconds = min(times["throughput"])
-    speedup = (
-        pr3_seconds / throughput_seconds
-        if throughput_seconds > 0
-        else float("inf")
-    )
-    return {
-        "world": THROUGHPUT_WORLD,
-        "rows": bundle.table.n_rows,
-        "contexts": len(result.grouping_patterns),
-        "reps": reps,
-        "pr3_seconds": round(pr3_seconds, 4),
-        "throughput_seconds": round(throughput_seconds, 4),
-        "speedup_vs_pr3": round(speedup, 3),
-        "target_min": TARGET_THROUGHPUT_VS_PR3,
-        "passed": speedup >= TARGET_THROUGHPUT_VS_PR3,
-    }
 
 
 def _measure_telemetry_overhead(settings, dataset: str, variant: str, reps: int):
@@ -624,9 +549,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{shard_overhead['on_seconds']:.3f}s sharded)"
         )
     probe_seconds = time.perf_counter() - probe_start
-    # The throughput-mode point always runs (smoke included): the trend
-    # gate soft-asserts its break-even target on every PR.
-    throughput_probe = _measure_throughput_probe(args.reps)
     # The out-of-core scale curve only runs on full invocations: three
     # subprocess pairs up to 1M rows are bench work, not CI smoke work.
     # The committed record is what the trend gate reports from.
@@ -671,8 +593,6 @@ def main(argv: list[str] | None = None) -> int:
         "wall_seconds": round(wall, 3),
         "speedup_vs_scalar_at_experiment_scale": at_scale["speedup_vs_scalar"],
         "speedup_vs_pr3_at_experiment_scale": at_scale["speedup_vs_pr3"],
-        "speedup_vs_pr5_at_experiment_scale": at_scale["speedup_vs_pr5"],
-        "throughput_probe": throughput_probe,
         "target": {
             "min_speedup_vs_scalar": TARGET_SPEEDUP_VS_SCALAR,
             "min_speedup_vs_pr3": TARGET_SPEEDUP_VS_PR3,
@@ -705,30 +625,19 @@ def main(argv: list[str] | None = None) -> int:
         f"schedulable={payload['env']['schedulable_cpus']}"
         f"{' [smoke]' if args.smoke else ''}",
         "",
-        f"{'rows':>7} {'scalar s':>9} {'pr3 s':>8} {'pr5 s':>8} "
-        f"{'frontier s':>11} {'vs scalar':>10} {'vs pr3':>8} {'vs pr5':>8}  "
+        f"{'rows':>7} {'scalar s':>9} {'pr3 s':>8} "
+        f"{'frontier s':>11} {'vs scalar':>10} {'vs pr3':>8}  "
         "identical",
     ]
     for row in rows:
         lines.append(
             f"{row['rows']:>7} {row['scalar_seconds']:>9.3f} "
-            f"{row['pr3_seconds']:>8.3f} {row['pr5_seconds']:>8.3f} "
+            f"{row['pr3_seconds']:>8.3f} "
             f"{row['frontier_seconds']:>11.3f} "
-            f"{row['speedup_vs_scalar']:>9.2f}x {row['speedup_vs_pr3']:>7.2f}x "
-            f"{row['speedup_vs_pr5']:>7.2f}x  "
+            f"{row['speedup_vs_scalar']:>9.2f}x {row['speedup_vs_pr3']:>7.2f}x  "
             f"{'yes' if row['identical'] else 'NO'}"
         )
     lines.append("")
-    lines.append(
-        f"throughput probe @ {throughput_probe['world']} "
-        f"({throughput_probe['contexts']} contexts, "
-        f"{throughput_probe['rows']} rows): "
-        f"{throughput_probe['pr3_seconds']:.4f}s pr3 -> "
-        f"{throughput_probe['throughput_seconds']:.4f}s merged "
-        f"({throughput_probe['speedup_vs_pr3']:.2f}x, target >= "
-        f"{TARGET_THROUGHPUT_VS_PR3:.1f}x) — "
-        f"{'OK' if throughput_probe['passed'] else 'BELOW TARGET'}"
-    )
     lines.append(
         f"telemetry overhead @ {overhead['rows']} rows: "
         f"{overhead['off_seconds']:.3f}s off -> {overhead['on_seconds']:.3f}s on "
@@ -790,8 +699,7 @@ def main(argv: list[str] | None = None) -> int:
             f"at experiment scale: {at_scale['speedup_vs_scalar']:.2f}x over "
             f"scalar (target >= {TARGET_SPEEDUP_VS_SCALAR:.0f}x), "
             f"{at_scale['speedup_vs_pr3']:.2f}x over the PR-3 batch engine "
-            f"(target >= {TARGET_SPEEDUP_VS_PR3:.1f}x), "
-            f"{at_scale['speedup_vs_pr5']:.2f}x over the PR-5 frontier engine"
+            f"(target >= {TARGET_SPEEDUP_VS_PR3:.1f}x)"
         )
     print("\n".join(lines))
 

@@ -113,36 +113,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"(soft gate, threshold {args.threshold * 100:.0f}%)"
             )
 
-    # -- throughput-mode point (tiny-world break-even vs PR-3) -----------------
-    # Recorded by bench_estimation on every run, smoke included.  Soft, like
-    # the wall-clock trend: the probe times millisecond-scale runs, so a
-    # shared runner can push it under 1.0x without an engine regression —
-    # but a persistent miss says the merged rounds stopped paying for
-    # themselves in the regime they exist for.
-    smoke_estimation = RESULTS_DIR / "estimation-smoke.json"
-    estimation_record = (
-        _load(smoke_estimation) if smoke_estimation.exists() else {}
-    )
-    probe = estimation_record.get("throughput_probe", {})
-    if probe:
-        speedup = probe.get("speedup_vs_pr3")
-        target = probe.get("target_min", 1.0)
-        ok = speedup is not None and speedup >= target
-        lines.append("")
-        lines.append(
-            f"**Throughput mode** ({probe.get('world')}, "
-            f"{probe.get('contexts')} contexts): {speedup}x vs the PR-3 "
-            f"engine (target ≥ {target}x) — "
-            + ("ok" if ok else ":warning: below break-even")
-        )
-        if not ok:
-            warnings.append(
-                f"::warning::bench-trend: throughput-mode probe "
-                f"{speedup}x is below the {target}x break-even target on "
-                f"{probe.get('world')} (soft gate; certified by the "
-                "scenario oracle, timed here)"
-            )
-
     # -- serving tier (RPS / tail latency / hot-reload probe) ------------------
     # Throughput and p99 against the committed smoke baseline, same soft
     # philosophy as wall-clock.  The hot-reload probe is hard-gated inside

@@ -119,7 +119,7 @@ _DEGENERATE = "degenerate fit: no residual degrees of freedom"
 #: per-event hot site that fires on every factorization build.
 _ROUTE_KEYS = {
     route: f"route={route}"
-    for route in ("gram", "gram_subtracted", "gram_reduced", "qr", "qr_collinear")
+    for route in ("gram", "gram_reduced", "qr", "qr_collinear")
 }
 
 
@@ -524,75 +524,10 @@ def _finish_gram(gram):
     return gram_inv
 
 
-def _subtracted_rows_factorization(
-    table: Table,
-    outcome: str,
-    adjustment: tuple[str, ...],
-    widths: list[int],
-    k: int,
-    donor: tuple[Table, Table],
-):
-    """Derive ``G = WᵀW`` from the partition identity ``G(parent) - G(sibling)``.
-
-    A grouping context's protected/non-protected sub-populations partition
-    its subtable, so one side's Gram blocks equal the parent's minus the
-    other side's — O(k²) subtractions against the parent's memoised pair
-    products instead of an O(n·k²) re-accumulation.  The caller attaches
-    the donor to the *larger* side (cheaper: the smaller side's direct
-    accumulation warms the sibling Grams; safer: derived entries are
-    comparable in magnitude to the parent's, bounding cancellation).
-    One-hot cross products are integer-valued counts, so their subtraction
-    is exact; continuous entries cancel at worst ~eps·|parent| — well
-    inside what the :data:`GRAM_RCOND_MIN` gate certifies.  Any doubt
-    (partition mismatch, non-positive derived diagonal, failed Cholesky,
-    rcond below the gate) returns None and the caller re-runs the standard
-    accumulate/QR routing, keeping certification and the bit-exact scalar
-    fallback unchanged.
-    """
-    parent, sibling = donor
-    n = table.n_rows
-    if parent.n_rows - sibling.n_rows != n:
-        return None  # not a partition; donor misuse
-    gram = _assemble_gram(parent, adjustment, widths, k)
-    gram -= _assemble_gram(sibling, adjustment, widths, k)
-    gram[0, 0] = float(n)
-    # Fast path only: a non-positive derived diagonal (category absent
-    # from this side, or a continuous column cancelling to rounding noise)
-    # goes back to the direct build, whose reduced-design slow path owns
-    # zero-column handling.
-    if not (gram.diagonal() > 0.0).all():
-        return None
-    gram_inv = _finish_gram(gram)
-    if gram_inv is None:
-        return None
-    w = _build_design_block(table, adjustment)
-    y = _outcome_vector(table, outcome)
-    wy = np.empty(k)
-    wy[0] = _outcome_sum(table, outcome)
-    offset = 1
-    for name, width in zip(adjustment, widths):
-        wy[offset : offset + width] = _outcome_block_products(table, outcome, name)
-        offset += width
-    y_res = blas.dgemv(-1.0, w, gram_inv @ wy, beta=1.0, y=y.copy(), overwrite_y=1)
-    _count_route("gram_subtracted")
-    telemetry = obs_current()
-    if telemetry.enabled:
-        telemetry.registry.inc("factorization.gram_subtracted", 1)
-    return GramFactorization(
-        w=w,
-        gram_inv=gram_inv,
-        rank=k,
-        y_res=y_res,
-        y_res_sq=float(y_res @ y_res),
-        n=n,
-    )
-
-
 def build_rows_factorization(
     table: Table,
     outcome: str,
     adjustment: tuple[str, ...] = (),
-    donor: tuple[Table, Table] | None = None,
 ):
     """Factorize ``[1, Z-block]`` for the fused row-major kernel.
 
@@ -602,14 +537,6 @@ def build_rows_factorization(
     slow path that drops them off the Gram diagonal; any design the
     condition gate rejects falls back to the QR build, whose
     :class:`DesignFactorization` the kernel consumes interchangeably.
-
-    ``donor`` — a ``(parent, sibling)`` pair of tables partitioned by this
-    one — switches the Gram assembly to the subtraction identity
-    (:func:`_subtracted_rows_factorization`); any failure there falls
-    through to the standard routing above.  A subtraction-built
-    factorization's bits differ from a directly-accumulated one's (within
-    the rtol-1e-9 contract), so callers that cache results must key by the
-    donor's identity too (see ``EstimationCache.get_or_factorize_rows``).
     """
     n = table.n_rows
     if n == 0:
@@ -628,12 +555,6 @@ def build_rows_factorization(
     k = 1 + sum(widths)
     if k > n:
         return build_factorization(table, outcome, adjustment)
-    if donor is not None:
-        factorization = _subtracted_rows_factorization(
-            table, outcome, adjustment, widths, k, donor
-        )
-        if factorization is not None:
-            return factorization
     gram = _assemble_gram(table, adjustment, widths, k)
     if gram.diagonal().all():
         gram_inv = _finish_gram(gram)
@@ -1083,216 +1004,6 @@ def estimate_level_rows(
             adjustment=tuple(adjustments[j]),
         )
     return results  # type: ignore[return-value]
-
-
-class _MergedEntry:
-    """One request's screening state inside :func:`estimate_rows_merged`."""
-
-    __slots__ = ("table", "treated_rows", "float_rows", "counts", "n_treated", "results")
-
-    def __init__(self, table, treated_rows, float_rows, counts, n_treated, results):
-        self.table = table
-        self.treated_rows = treated_rows
-        self.float_rows = float_rows
-        self.counts = counts
-        self.n_treated = n_treated
-        self.results = results
-
-
-def estimate_rows_merged(tasks, outcome: str) -> None:
-    """One merged estimation pass over a whole frontier round (throughput mode).
-
-    ``tasks`` is a sequence of ``(request, factorization_for)`` pairs where
-    ``request`` duck-types the frontier's sub-requests
-    (:class:`repro.rules.utility._SubRequest`): ``table``, an ``(m, n)``
-    boolean ``treated_rows`` stack, optional ``float_rows``/``counts``, a
-    per-row ``effective`` adjustment list, and a ``results`` slot this
-    function fills in place.  Rows from *different* requests that share a
-    (table content, adjustment set) pair are concatenated into one wider
-    GEMM pair — one projection per bucket instead of one per (context,
-    sub-population, adjustment) — and the elementwise FWL tail plus the
-    t-test run once over the entire round.
-
-    Contract: merged batch widths change per-column GEMM rounding, so
-    results are NOT bit-identical to :func:`estimate_level_rows` — this is
-    the deliberate trade of ``FairCapConfig.throughput_mode``, certified by
-    the 36-world scenario oracle (rtol bands + planted-ruleset recovery)
-    instead of the differential suite.  Everything discrete is unchanged:
-    the positivity screen, first-seen grouping, degenerate routing and the
-    bit-exact scalar ``ols()`` fallback are those of the per-request
-    kernel.
-    """
-    # Stage 1 — per-request screening and grouping, no estimation yet.
-    entries: list[_MergedEntry] = []
-    # (fingerprint, n, adjustment) -> [(entry index, cols), ...]; same
-    # content + same adjustment => same factorization up to provenance
-    # bits, so one bucket = one projection at the concatenated width.
-    buckets: dict[tuple, list[tuple[int, list[int]]]] = {}
-    providers: list = []
-    for request, factorization_for in tasks:
-        treated_rows = np.asarray(request.treated_rows, dtype=bool)
-        m, n = treated_rows.shape
-        table = request.table
-        if n != table.n_rows:
-            raise EstimationError(
-                f"treated_rows columns {n} != table rows {table.n_rows}"
-            )
-        adjustments = request.effective
-        counts = request.counts
-        counts = treated_rows.sum(axis=1) if counts is None else np.asarray(counts)
-        n_treated = [int(c) for c in counts]
-        results: list[CateResult | None] = [None] * m
-        for j in range(m):
-            if n_treated[j] == 0 or n_treated[j] == n:
-                results[j] = CateResult.invalid(
-                    _POSITIVITY,
-                    n=n,
-                    n_treated=n_treated[j],
-                    n_control=n - n_treated[j],
-                    adjustment=tuple(adjustments[j]),
-                )
-        request.results = results
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for j in range(m):
-            if results[j] is None:
-                groups.setdefault(tuple(adjustments[j]), []).append(j)
-        if not groups:
-            continue
-        float_rows = request.float_rows
-        if float_rows is None:
-            float_rows = treated_rows.astype(np.float64)
-        index = len(entries)
-        entries.append(
-            _MergedEntry(table, treated_rows, float_rows, counts, n_treated, results)
-        )
-        providers.append(factorization_for)
-        fingerprint = table.fingerprint()
-        for adjustment, cols in groups.items():
-            buckets.setdefault((fingerprint, n, adjustment), []).append((index, cols))
-
-    if not buckets:
-        return
-
-    # Stage 2 — one factorization + one GEMM pair per bucket, results
-    # accumulated into flat per-column arrays for the single shared tail.
-    act: list[tuple[int, int]] = []  # (entry index, column) per tail slot
-    act_adjustment: list[tuple[str, ...]] = []  # per bucket
-    bucket_widths: list[int] = []
-    bucket_dof: list[float] = []
-    bucket_ysq: list[float] = []
-    tt_parts: list[np.ndarray] = []
-    ty_parts: list[np.ndarray] = []
-    count_parts: list[np.ndarray] = []
-
-    with obs_current().tracer.span(
-        "estimation.round",
-        kernel="merged",
-        requests=len(tasks),
-        buckets=len(buckets),
-    ):
-        for (_, n, adjustment), members in buckets.items():
-            first_index = members[0][0]
-            factorization = providers[first_index](adjustment)
-            if factorization.degenerate:
-                total = sum(len(cols) for _, cols in members)
-                _count_scalar_fallbacks("merged", "collinear_design", total)
-                for index, cols in members:
-                    entry = entries[index]
-                    for j in cols:
-                        entry.results[j] = _SCALAR_FALLBACK.estimate(
-                            entry.table, entry.treated_rows[j], outcome, adjustment
-                        )
-                continue
-
-            parts = []
-            for index, cols in members:
-                float_rows = entries[index].float_rows
-                parts.append(
-                    float_rows[cols] if len(cols) != float_rows.shape[0] else float_rows
-                )
-            t_rows = parts[0] if len(parts) == 1 else np.vstack(parts)
-            if isinstance(factorization, GramFactorization):
-                projected = (t_rows @ factorization.w) @ factorization.gram_inv
-                t_res = t_rows - projected @ factorization.w.T
-            else:
-                q = factorization.q
-                t_res = t_rows - (t_rows @ q) @ q.T
-            tt_parts.append(np.einsum("ij,ij->i", t_res, t_res))
-            ty_parts.append(np.einsum("ij,j->i", t_res, factorization.y_res))
-            for index, cols in members:
-                act.extend((index, j) for j in cols)
-                count_parts.append(entries[index].counts[cols])
-            act_adjustment.append(adjustment)
-            bucket_widths.append(sum(len(cols) for _, cols in members))
-            bucket_dof.append(float(n - factorization.rank - 1))
-            bucket_ysq.append(factorization.y_res_sq)
-
-    if not act:
-        return
-
-    telemetry = obs_current()
-    if telemetry.enabled:
-        telemetry.registry.inc("estimation.merged_columns", len(act))
-
-    tt = np.concatenate(tt_parts) if len(tt_parts) > 1 else tt_parts[0]
-    ty = np.concatenate(ty_parts) if len(ty_parts) > 1 else ty_parts[0]
-    sizes = np.asarray(bucket_widths)
-    dof_col = np.repeat(np.asarray(bucket_dof), sizes)
-    ysq_col = np.repeat(np.asarray(bucket_ysq), sizes)
-    act_counts = np.concatenate(count_parts).astype(np.float64)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimates = ty / tt
-        rss = ysq_col - ty * ty / tt
-        stderrs = np.sqrt((rss / np.maximum(dof_col, 1.0)) / tt)
-        fallback = tt <= RESIDUAL_TOL * act_counts
-        fallback |= rss <= PERFECT_FIT_TOL * np.maximum(ysq_col, 1.0)
-        degenerate_fit = (dof_col <= 0) | ~np.isfinite(stderrs) | (stderrs == 0.0)
-        t_stats = estimates / stderrs
-        p_values = 2.0 * special.stdtr(dof_col, -np.abs(t_stats))
-
-    if telemetry.enabled:
-        _count_scalar_fallbacks(
-            "merged", "identity_guard", int(np.count_nonzero(fallback))
-        )
-        _count_degenerate_fits(
-            "merged", int(np.count_nonzero(degenerate_fit & ~fallback))
-        )
-
-    bad = fallback | degenerate_fit
-    adj_col = np.repeat(np.arange(len(act_adjustment)), sizes)
-    est_l = estimates.tolist()
-    se_l = stderrs.tolist()
-    p_l = p_values.tolist()
-    bad_l = bad.tolist()
-    fallback_l = fallback.tolist()
-    for pos, (index, j) in enumerate(act):
-        entry = entries[index]
-        adjustment = act_adjustment[adj_col[pos]]
-        n = entry.table.n_rows
-        if bad_l[pos]:
-            if fallback_l[pos]:
-                entry.results[j] = _SCALAR_FALLBACK.estimate(
-                    entry.table, entry.treated_rows[j], outcome, adjustment
-                )
-            else:
-                entry.results[j] = CateResult.invalid(
-                    _DEGENERATE,
-                    n=n,
-                    n_treated=entry.n_treated[j],
-                    n_control=n - entry.n_treated[j],
-                    adjustment=adjustment,
-                )
-        else:
-            entry.results[j] = CateResult(
-                estimate=est_l[pos],
-                stderr=se_l[pos],
-                p_value=p_l[pos],
-                n=n,
-                n_treated=entry.n_treated[j],
-                n_control=n - entry.n_treated[j],
-                adjustment=adjustment,
-            )
 
 
 def estimate_cate_batch(

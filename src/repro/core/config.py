@@ -110,18 +110,6 @@ class FairCapConfig:
         to working precision (rtol 1e-9), rulesets are identical.
         Requires ``batch_estimation``; estimators without a batched path
         ignore it.
-    gram_subtraction:
-        Derive the larger protected/non-protected sub-population's Gram
-        matrix ``WᵀW`` by subtracting the smaller side's from the parent
-        subtable's memoised Gram (the two sides partition the subtable)
-        instead of re-accumulating pair products —
-        :func:`repro.causal.batch.build_rows_factorization`.  Guarded by
-        the existing ``rcond >= 1e-3`` condition gate with QR fallback, so
-        certification and the bit-exact scalar fallback are unchanged;
-        results stay inside the rtol-1e-9 batch ≡ scalar contract and are
-        bit-identical across executors (the donor choice is a pure
-        function of the context's row split).  ``False`` selects the
-        direct re-accumulation — the differential reference.
     shared_memory:
         Publish the root table's float64 design-block/Gram buffers into a
         ``multiprocessing.shared_memory`` segment before a process-pool
@@ -131,16 +119,6 @@ class FairCapConfig:
         the flag on or off; any attach failure falls back to the rebuild
         path (counted under ``shm.fallbacks``).  Only affects the process
         executor.
-    throughput_mode:
-        Merge each frontier round's estimation batches *across* grouping
-        contexts into shared GEMMs and skip result-cache digests
-        (:meth:`repro.rules.utility.RuleEvaluator.estimate_requests_merged`).
-        Merged batch widths change per-column GEMM rounding, so this mode
-        explicitly trades the serial ≡ process bit-identity contract for
-        speed in the many-tiny-contexts regime; it is certified by the
-        36-world scenario oracle (rtol bands + planted-ruleset recovery)
-        instead of the differential suite.  Off by default; requires
-        ``batch_estimation`` and ``frontier_batching``.
     max_chunk_retries:
         How many times a failed mining chunk (worker death, injected
         fault, chunk timeout) is re-executed before degrading to
@@ -221,9 +199,7 @@ class FairCapConfig:
     batch_estimation: bool = True
     bitset_masks: bool = True
     frontier_batching: bool = True
-    gram_subtraction: bool = True
     shared_memory: bool = True
-    throughput_mode: bool = False
     max_chunk_retries: int = 2
     chunk_timeout_seconds: float | None = None
     retry_backoff_seconds: float = 0.05
@@ -270,13 +246,6 @@ class FairCapConfig:
             raise ConfigError("n_workers must be >= 0 (0 = all visible CPUs)")
         if self.cache_size < 0:
             raise ConfigError("cache_size must be >= 0 (0 disables caching)")
-        if self.throughput_mode and not (
-            self.batch_estimation and self.frontier_batching
-        ):
-            raise ConfigError(
-                "throughput_mode requires batch_estimation and "
-                "frontier_batching (it merges frontier rounds)"
-            )
         if self.shard_rows is not None and self.shard_rows < 1:
             raise ConfigError("shard_rows must be >= 1 or None")
         if self.shard_dir is not None and self.shard_rows is None:

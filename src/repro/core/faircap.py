@@ -257,9 +257,7 @@ class FairCap:
                         "n_grouping_patterns": len(grouping_patterns),
                         "n_rules": len(greedy.ruleset),
                         "nodes_evaluated": nodes_evaluated,
-                        "gram_subtraction": config.gram_subtraction,
                         "shared_memory": config.shared_memory,
-                        "throughput_mode": config.throughput_mode,
                         "blas": blas_info(),
                         "timings": timer.as_dict(),
                     },

@@ -311,13 +311,6 @@ def frontier_mine_patterns(
         return results
     alpha = config.significance_alpha
     use_bitsets = config.bitset_masks
-    gram_subtraction = getattr(config, "gram_subtraction", True)
-    # Throughput mode (config.throughput_mode): answer each round through
-    # the merged cross-context driver instead of the per-request kernel —
-    # wider GEMMs, no digests, no result cache.  This deliberately trades
-    # the serial ≡ process bit-identity contract for speed; certification
-    # moves from the differential suite to the 36-world scenario oracle.
-    throughput = getattr(config, "throughput_mode", False)
     walks: list[tuple[GroupEvaluationContext, LatticeWalk]] = []
     for frequent in patterns:
         context = evaluator.context(getattr(frequent, "pattern", frequent))
@@ -330,12 +323,7 @@ def frontier_mine_patterns(
         for context, walk in walks:
             if walk.done:
                 continue
-            work = context.begin_level(
-                walk.candidates(),
-                use_bitsets=use_bitsets,
-                gram_subtraction=gram_subtraction,
-                throughput=throughput,
-            )
+            work = context.begin_level(walk.candidates(), use_bitsets=use_bitsets)
             round_work.append((walk, work))
         if not round_work:
             break
@@ -350,19 +338,14 @@ def frontier_mine_patterns(
             # needs nothing else.  Phase 2: protected / non-protected
             # batches for the kept columns only (a rejected candidate's
             # sub-population CATEs are never read).
-            estimate = (
-                evaluator.estimate_requests_merged
-                if throughput
-                else evaluator.estimate_requests
-            )
             phase1 = [request for _, work in round_work for request in work.requests]
-            estimate(phase1)
+            evaluator.estimate_requests(phase1)
             phase2 = [
                 request
                 for _, work in round_work
                 for request in work.followup(alpha)
             ]
-            estimate(phase2)
+            evaluator.estimate_requests(phase2)
             for walk, work in round_work:
                 walk.advance(work.finish())
         if telemetry.enabled:

@@ -322,55 +322,33 @@ class EstimationCache:
         )
 
     def get_or_factorize_rows(
-        self, table, outcome: str, adjustment: tuple[str, ...], donor=None
+        self, table, outcome: str, adjustment: tuple[str, ...]
     ):
         """Memoised :func:`repro.causal.batch.build_rows_factorization`.
 
         The row-major (Gram) factorizations the fused kernel consumes live
         under their own key prefix: the two builds project identically but
         are different objects with different numerical paths, and an entry
-        must never answer for the other family.  A ``donor`` (the Gram-
-        subtraction partition, see ``build_rows_factorization``) gets its
-        own key family carrying the donor tables' fingerprints: a
-        subtraction-built factorization's bits differ from a direct
-        build's, and sharing one key would make results depend on cache
-        state — which is executor-dependent.
+        must never answer for the other family.
         """
         from repro.causal.batch import build_rows_factorization
 
-        if donor is None:
-            key = ("fwl-rows", table.fingerprint(), outcome, tuple(adjustment))
-        else:
-            key = (
-                "fwl-rows-sub",
-                table.fingerprint(),
-                donor[0].fingerprint(),
-                donor[1].fingerprint(),
-                outcome,
-                tuple(adjustment),
-            )
         return self._factorize_with(
-            key,
+            ("fwl-rows", table.fingerprint(), outcome, tuple(adjustment)),
             build_rows_factorization,
             table,
             outcome,
             adjustment,
-            donor=donor,
         )
 
-    def _factorize_with(
-        self, key: CacheKey, build, table, outcome, adjustment, donor=None
-    ):
+    def _factorize_with(self, key: CacheKey, build, table, outcome, adjustment):
         with self._lock:
             factorization = self._factorizations.get(key)
             if factorization is not None:
                 self._factorizations.move_to_end(key)
                 self._fac_hits += 1
         if factorization is None:
-            if donor is not None:
-                factorization = build(table, outcome, adjustment, donor=donor)
-            else:
-                factorization = build(table, outcome, adjustment)
+            factorization = build(table, outcome, adjustment)
             with self._lock:
                 self._fac_misses += 1
                 self._factorizations[key] = factorization

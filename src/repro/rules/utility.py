@@ -110,7 +110,6 @@ class _SubRequest:
         "effective",
         "digest_parts",
         "fac_store",
-        "donor",
         "results",
     )
 
@@ -123,7 +122,6 @@ class _SubRequest:
         effective,
         digest_parts,
         fac_store,
-        donor=None,
     ):
         self.table = table
         self.treated_rows = treated_rows
@@ -132,9 +130,6 @@ class _SubRequest:
         self.effective = effective
         self.digest_parts = digest_parts
         self.fac_store = fac_store
-        # Gram-subtraction provenance: a (parent, sibling) table pair that
-        # partitions this request's table (see build_rows_factorization).
-        self.donor = donor
         self.results: list[CateResult] | None = None
 
 
@@ -172,15 +167,11 @@ class _LevelWork:
         "_kept_pos",
         "_prot",
         "_nonprot",
-        "gram_subtraction",
-        "throughput",
     )
 
     def __init__(self, context, interventions):
         self.context = context
         self.interventions = interventions
-        self.gram_subtraction = True
-        self.throughput = False
         self.pruned: dict[int, PrescriptionRule] = {}
         self.requests: list[_SubRequest] = []
         self._const_rules: list[PrescriptionRule] | None = None
@@ -438,7 +429,6 @@ class GroupEvaluationContext:
         raw_adjustments,
         base_digest,
         tag: str,
-        donor=None,
     ):
         """One sub-population's share of a level: a request or a const list.
 
@@ -489,16 +479,6 @@ class GroupEvaluationContext:
                 if rows_mask is None
                 else ("rows-sub", base_digest, self._protected_mask_digest(), tag)
             )
-            if donor is not None:
-                # A subtraction-built factorization's bits depend on the
-                # donor tables' content, which the mask digests above do
-                # not pin down; fold the donor fingerprints into the
-                # result key so a cache hit is always bit-equivalent to
-                # recomputation.
-                digest_parts = digest_parts + (
-                    donor[0].fingerprint(),
-                    donor[1].fingerprint(),
-                )
         request = _SubRequest(
             sub_table,
             sub_rows,
@@ -507,7 +487,6 @@ class GroupEvaluationContext:
             effective,
             digest_parts,
             self._fac_stores[tag],
-            donor=donor,
         )
         work.requests.append(request)
         return request
@@ -516,8 +495,6 @@ class GroupEvaluationContext:
         self,
         interventions: Sequence[Pattern],
         use_bitsets: bool = True,
-        gram_subtraction: bool = True,
-        throughput: bool = False,
     ) -> _LevelWork:
         """Plan one lattice level for a two-phase frontier estimation round.
 
@@ -531,22 +508,12 @@ class GroupEvaluationContext:
         :meth:`_LevelWork.followup` to get the kept columns' protected /
         non-protected requests, runs those, and then
         :meth:`_LevelWork.finish`.
-
-        ``gram_subtraction`` attaches the Gram donor to the larger
-        protected/non-protected side (see :meth:`_subpopulation_entries`);
-        ``throughput`` marks the level for the merged cross-context round
-        driver, which bypasses the result cache — so no content digest is
-        computed at all (the digest is a real fixed cost in the tiny-world
-        regime, and a merged result must never seed the bit-exact path's
-        cache).
         """
         interventions = list(interventions)
         for intervention in interventions:
             if intervention.is_empty():
                 raise EstimationError("intervention pattern must be non-empty")
         work = _LevelWork(self, interventions)
-        work.gram_subtraction = gram_subtraction
-        work.throughput = throughput
         if not interventions:
             work._const_rules = []
             return work
@@ -567,7 +534,7 @@ class GroupEvaluationContext:
 
         float_rows = treated_rows.astype(np.float64)
         base_digest = None
-        if self.evaluator.cache is not None and not throughput:
+        if self.evaluator.cache is not None:
             base_digest = (
                 packed_rows_digest(packed_s, self.subtable.n_rows)
                 if packed_s is not None
@@ -611,7 +578,7 @@ class GroupEvaluationContext:
             prot_counts = work._prot_counts
             raw_s = work._raw_adjustments
         base_digest = None
-        if self.evaluator.cache is not None and not work.throughput:
+        if self.evaluator.cache is not None:
             base_digest = (
                 packed_rows_digest(packed, self.subtable.n_rows)
                 if packed is not None
@@ -622,22 +589,6 @@ class GroupEvaluationContext:
             if counts is not None and prot_counts is not None
             else None
         )
-        prot_donor = nonprot_donor = None
-        if (
-            work.gram_subtraction
-            and self.protected_table is not None
-            and self.non_protected_table is not None
-        ):
-            # The two sides partition the subtable, so the *larger* one's
-            # Gram can be derived by subtracting the smaller side's from
-            # the parent's memoised Gram (causal/batch.py).  The choice is
-            # a pure function of this context's row split — never of the
-            # round's composition — which preserves the frontier's
-            # composition-independence.
-            if self.protected_count > self.coverage_count - self.protected_count:
-                prot_donor = (self.subtable, self.non_protected_table)
-            else:
-                nonprot_donor = (self.subtable, self.protected_table)
         work.requests = []
         prot = self._population_entry(
             work,
@@ -649,7 +600,6 @@ class GroupEvaluationContext:
             raw_s,
             base_digest,
             "prot",
-            donor=prot_donor,
         )
         nonprot = self._population_entry(
             work,
@@ -661,7 +611,6 @@ class GroupEvaluationContext:
             raw_s,
             base_digest,
             "nonprot",
-            donor=nonprot_donor,
         )
         return prot, nonprot
 
@@ -981,8 +930,7 @@ class RuleEvaluator:
         return effective
 
     def _local_factorization(
-        self, subtable: Table, effective: tuple[str, ...], rows: bool = False,
-        donor=None,
+        self, subtable: Table, effective: tuple[str, ...], rows: bool = False
     ):
         """Design factorization for cache-free runs (``cache_size=0``).
 
@@ -991,29 +939,16 @@ class RuleEvaluator:
         :meth:`get_or_factorize_rows`); without one, this small
         evaluator-local LRU still amortises the factorization across the
         lattice levels and the three sub-populations of each context.
-        ``rows`` selects the fused kernel's Gram build (its own key space);
-        ``donor`` (rows only) selects the Gram-subtraction build, keyed by
-        the donor tables' fingerprints because its bits differ from a
-        direct build's.
+        ``rows`` selects the fused kernel's Gram build (its own key space).
         """
         from repro.causal.batch import build_factorization, build_rows_factorization
 
-        if donor is None:
-            key = (rows, subtable.fingerprint(), self.outcome, effective)
-        else:
-            key = (
-                rows,
-                subtable.fingerprint(),
-                donor[0].fingerprint(),
-                donor[1].fingerprint(),
-                self.outcome,
-                effective,
-            )
+        key = (rows, subtable.fingerprint(), self.outcome, effective)
         factorization = self._factorization_memo.get(key)
         if factorization is None:
             if rows:
                 factorization = build_rows_factorization(
-                    subtable, self.outcome, effective, donor=donor
+                    subtable, self.outcome, effective
                 )
             else:
                 factorization = build_factorization(subtable, self.outcome, effective)
@@ -1056,13 +991,11 @@ class RuleEvaluator:
                 if factorization is None:
                     if cache is not None:
                         factorization = cache.get_or_factorize_rows(
-                            request.table, self.outcome, adjustment,
-                            donor=request.donor,
+                            request.table, self.outcome, adjustment
                         )
                     else:
                         factorization = self._local_factorization(
-                            request.table, adjustment, rows=True,
-                            donor=request.donor,
+                            request.table, adjustment, rows=True
                         )
                     store[adjustment] = factorization
                 return factorization
@@ -1078,47 +1011,6 @@ class RuleEvaluator:
             )
             if key is not None:
                 cache.put(key, request.results)
-
-    def estimate_requests_merged(self, requests: Sequence[_SubRequest]) -> None:
-        """Throughput-mode sibling of :meth:`estimate_requests`.
-
-        Routes the whole round through one merged pass
-        (:func:`repro.causal.batch.estimate_rows_merged`): same-(table
-        content, adjustment set) batches from *different* grouping
-        contexts share one GEMM pair at the concatenated width, and the
-        FWL tail runs once for the round.  Merged widths change per-column
-        rounding, so this path deliberately gives up the serial ≡ process
-        bit-identity contract — it is certified by the 36-world scenario
-        oracle instead — and it never reads or writes the result cache
-        (merged bits must not seed the bit-exact path, and the digest /
-        lookup fixed costs are precisely what the many-tiny-contexts
-        regime pays for).  Factorizations still go through the shared
-        factorization store: their bits depend only on table content and
-        donor, never on round composition, so sharing them is safe.
-        """
-        from repro.causal.batch import estimate_rows_merged
-
-        tasks = []
-        for request in requests:
-            def factorization_for(adjustment, request=request):
-                store = request.fac_store
-                factorization = store.get(adjustment)
-                if factorization is None:
-                    if self.cache is not None:
-                        factorization = self.cache.get_or_factorize_rows(
-                            request.table, self.outcome, adjustment,
-                            donor=request.donor,
-                        )
-                    else:
-                        factorization = self._local_factorization(
-                            request.table, adjustment, rows=True,
-                            donor=request.donor,
-                        )
-                    store[adjustment] = factorization
-                return factorization
-
-            tasks.append((request, factorization_for))
-        estimate_rows_merged(tasks, self.outcome)
 
     def context(self, grouping: Pattern) -> GroupEvaluationContext:
         """Build the cached per-group context for ``grouping``."""

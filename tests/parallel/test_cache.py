@@ -249,3 +249,31 @@ def test_factorization_store_is_bounded_lru(rng):
     assert keys[-1] == cache.factorization_key(
         table, "Outcome", ("Group", "Outcome")
     )
+
+
+def test_mining_keeps_one_factorization_per_design():
+    """A cached FairCap run stores each design's factorization once.
+
+    Every sub-population of a context is factorized through one key
+    family, so a table whose rows recur across contexts (a context's
+    protected side is another context's whole subgroup) shares one entry
+    instead of splitting the factorization LRU.
+    """
+    from collections import Counter
+
+    from repro.core.config import FairCapConfig
+    from repro.core.faircap import FairCap
+    from repro.mining.patterns import Pattern
+    from repro.rules.protected import ProtectedGroup
+    from tests.conftest import build_toy_dag, build_toy_table
+
+    cache = EstimationCache()
+    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
+    FairCap(FairCapConfig(), cache=cache).run(
+        build_toy_table(n=400, seed=3), None, build_toy_dag(), protected
+    )
+    assert cache._factorizations
+    designs = Counter(
+        (key[1], key[-2], key[-1]) for key in cache._factorizations
+    )
+    assert max(designs.values()) == 1, designs.most_common(3)
